@@ -11,6 +11,7 @@
 
 use cluster::experiment::run_seed;
 use cluster::{Cluster, ClusterConfig, OsVariant};
+use simcore::partition::{with_drain, Drain};
 use simcore::{par, Cycles};
 use workloads::miniapps::MiniApp;
 
@@ -52,5 +53,22 @@ fn fig8_grid_bit_identical_at_any_thread_count() {
     assert_eq!(serial.len(), cells.len());
     for threads in [2usize, 4, 8] {
         assert_eq!(grid(&cells, threads), serial, "{threads} threads");
+    }
+}
+
+/// The same grid with the replay engine's drain path forced each way:
+/// every window inline on the coordinator, and every window fanned out
+/// to helper threads. A serial grid runs each cell's replay at the
+/// default engine width; any wider pool runs it at width 1 (no nested
+/// oversubscription), so pools of 1 and 2 cover both engine widths.
+#[test]
+fn fig8_grid_bit_identical_under_both_drain_paths() {
+    let cells = cells();
+    let want = grid(&cells, 1);
+    for drain in [Drain::Inline, Drain::FanOut] {
+        for threads in [1usize, 2] {
+            let got = with_drain(drain, || grid(&cells, threads));
+            assert_eq!(got, want, "{threads} threads, {drain:?}");
+        }
     }
 }

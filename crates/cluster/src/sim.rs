@@ -19,13 +19,20 @@ use workloads::osu::{self, Collective, OsuConfig, OsuResult};
 use workloads::{fwq, miniapps};
 
 /// Worker threads for the partitioned engine: `HLWK_ENGINE_THREADS`,
-/// defaulting to the shared pool size.
+/// defaulting to the shared pool size — or to 1 on a worker of a pool
+/// wider than one, whose sibling cells already occupy the other cores.
 pub fn engine_threads() -> usize {
     std::env::var("HLWK_ENGINE_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&t| t >= 1)
-        .unwrap_or_else(par::pool_size)
+        .unwrap_or_else(|| {
+            if par::is_pool_worker() {
+                1
+            } else {
+                par::pool_size()
+            }
+        })
 }
 
 /// A fully built cluster: nodes + InfiniBand fabric + MPI state.
@@ -220,11 +227,10 @@ impl Cluster {
     ///
     /// Fault-free runs execute on the partitioned engine: the walk is
     /// recorded once with symbolic clocks, then replayed with one
-    /// partition per node (`HLWK_ENGINE_THREADS` workers, defaulting to
-    /// the shared pool size). The replay is value-identical to the
-    /// global-wheel walk at any thread count, so this changes wall-clock
-    /// time only. With faults armed the conservative lookahead collapses
-    /// and the walk runs directly.
+    /// partition per node (at [`engine_threads`] width). The replay is
+    /// value-identical to the global-wheel walk at any thread count, so
+    /// this changes wall-clock time only. With faults armed the
+    /// conservative lookahead collapses and the walk runs directly.
     pub fn run_miniapp(&mut self, app: &MiniApp, at: Cycles) -> Result<Cycles, RankFailure> {
         self.set_mem_intensity(app.mem_intensity);
         let p = self.cfg.nodes as usize;

@@ -5,8 +5,9 @@
 //! * [`BuddyAllocator`] — a flat, index-based binary buddy over one
 //!   physically contiguous range: per-order intrusive free lists threaded
 //!   through a flat per-frame metadata table plus a buddy-pair bitmap.
-//!   Alloc, free and coalescing are all O(1) with zero heap activity on
-//!   the hot path (the metadata arrays are allocated once at boot).
+//!   Alloc, free and coalescing are all O(1); the only heap activity is
+//!   growing the metadata arrays when a fresh 4 MiB block is carved off
+//!   the virgin watermark.
 //! * [`FrameAllocator`] — the kernel-facing engine: one buddy arena per
 //!   NUMA domain with first-touch placement keyed off the faulting CPU,
 //!   deterministic spill to remote domains, and per-CPU page-frame caches
@@ -27,10 +28,13 @@
 //!   possible; spill to a remote domain is deterministic (ascending wrap
 //!   from the local domain) and reported so the cost model can charge it.
 //!
-//! The metadata arrays are zero-initialized (`calloc`-backed) and the
-//! virgin watermark defers free-list seeding, so resident metadata stays
-//! proportional to *touched* memory — a 16 GiB partition that faults a
-//! few megabytes pays for a few metadata pages, not for 4M frame entries.
+//! The per-frame metadata arrays grow with the virgin watermark, so
+//! resident metadata stays proportional to *touched* memory — a 16 GiB
+//! partition that faults a few megabytes pays for a few metadata pages,
+//! not for 4M frame entries. (Sizing them for the whole partition up
+//! front and relying on `calloc` to leave them untouched is not enough:
+//! once glibc raises its mmap threshold, each 36 MiB set is zeroed on
+//! allocation, about 2.3 GB per 64-node McKernel cluster.)
 
 use hwmodel::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 use hwmodel::cpu::NumaId;
@@ -77,7 +81,8 @@ pub enum AllocError {
 ///   at the same order — the O(1) coalesce test.
 /// * `virgin` is the offset of the first never-used frame; everything at
 ///   or above it is free by definition and is carved in max-order blocks
-///   as the free lists run dry.
+///   as the free lists run dry. `next`/`prev`/`tag` cover only the frames
+///   below it; a frame at or above it reads as `S_TAIL`.
 #[derive(Debug)]
 pub struct BuddyAllocator {
     base: PhysAddr,
@@ -124,11 +129,9 @@ impl BuddyAllocator {
             base,
             len,
             pages,
-            // Zeroed primitive vecs are calloc-backed: untouched frames
-            // cost address space, not resident memory.
-            next: vec![0u32; pages as usize],
-            prev: vec![0u32; pages as usize],
-            tag: vec![0u8; pages as usize],
+            next: Vec::new(),
+            prev: Vec::new(),
+            tag: Vec::new(),
             pair_bits: vec![0u64; words],
             bit_base,
             heads: [NIL; NUM_ORDERS],
@@ -163,14 +166,21 @@ impl BuddyAllocator {
         (0..=MAX_ORDER).rev().find(|&o| self.heads[o as usize] != NIL)
     }
 
+    /// Frame `off`'s tag; frames at or above the watermark have no
+    /// metadata yet and read as `S_TAIL`.
+    #[inline]
+    fn tag_of(&self, off: u64) -> u8 {
+        self.tag.get(off as usize).copied().unwrap_or(S_TAIL << 4)
+    }
+
     #[inline]
     fn state_of(&self, off: u64) -> u8 {
-        self.tag[off as usize] >> 4
+        self.tag_of(off) >> 4
     }
 
     #[inline]
     fn order_of(&self, off: u64) -> u8 {
-        self.tag[off as usize] & 0xf
+        self.tag_of(off) & 0xf
     }
 
     #[inline]
@@ -255,6 +265,10 @@ impl BuddyAllocator {
             }
             let off = self.virgin;
             self.virgin += 1 << MAX_ORDER;
+            let covered = self.virgin as usize;
+            self.next.resize(covered, 0);
+            self.prev.resize(covered, 0);
+            self.tag.resize(covered, S_TAIL << 4);
             o = MAX_ORDER;
             off
         };
@@ -926,6 +940,37 @@ mod tests {
         }
         assert_eq!(a.free_bytes(), 16 << 20);
         assert_eq!(a.largest_free_order(), Some(MAX_ORDER));
+        a.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn metadata_tracks_the_virgin_watermark() {
+        let mut a = BuddyAllocator::new(PhysAddr(0), 16 << 30);
+        let meta = |a: &BuddyAllocator| {
+            assert_eq!(a.next.len(), a.prev.len());
+            assert_eq!(a.next.len(), a.tag.len());
+            a.tag.len() as u64
+        };
+        assert_eq!(meta(&a), 0, "fresh allocators hold no frame metadata");
+        let p = a.alloc(0).unwrap();
+        assert_eq!(meta(&a), a.virgin);
+        assert_eq!(a.virgin, 1 << MAX_ORDER);
+        // Two fresh 4 MiB blocks; the 2 MiB rest comes from the first
+        // block's split-off free halves.
+        let big = a.alloc_bytes(10 << 20).unwrap();
+        assert_eq!(meta(&a), a.virgin);
+        assert_eq!(a.virgin, 3 << MAX_ORDER);
+        // Above the watermark there is nothing to free.
+        let above = PhysAddr(a.virgin << PAGE_SHIFT);
+        assert_eq!(a.free(above), Err(AllocError::BadFree(above)));
+        let last = PhysAddr((16 << 30) - PAGE_SIZE);
+        assert_eq!(a.free(last), Err(AllocError::BadFree(last)));
+        assert_eq!(a.allocated_order(above), None);
+        a.free(p).unwrap();
+        for (b, _) in big {
+            a.free(b).unwrap();
+        }
+        assert_eq!(a.free_bytes(), 16 << 30);
         a.check_invariants().unwrap();
     }
 

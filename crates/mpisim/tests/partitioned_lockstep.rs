@@ -6,7 +6,9 @@
 //! reliable-protocol counters and registration-cache stats must be
 //! *identical* at every worker-thread count, and the replay value logs
 //! (the raw per-node event trace) must fold to the same digest across
-//! thread counts.
+//! thread counts. Both drain paths are forced in turn — every window
+//! inline on the coordinator, and every window fanned out to helper
+//! threads — so the engine's cost gate cannot hide either one.
 
 use mpisim::collectives::{allgather, allreduce, alltoall, barrier, tree, Ctx, Recorder};
 use mpisim::host::IdealHost;
@@ -16,6 +18,7 @@ use mpisim::regcache::RegCache;
 use mpisim::{P2pParams, RankFailure};
 use netsim::reliable::ReliableFabric;
 use netsim::LinkParams;
+use simcore::partition::{with_drain, Drain};
 use simcore::{Cycles, StreamRng};
 use std::sync::Arc;
 
@@ -178,6 +181,9 @@ fn record_replay(s: &Scenario, threads: usize) -> (WalkResult, u64) {
     )
 }
 
+/// The two forced drain paths.
+const DRAINS: [Drain; 2] = [Drain::Inline, Drain::FanOut];
+
 #[test]
 fn every_entry_point_replays_identically_at_all_thread_counts() {
     let mut rng = StreamRng::root(0xD1CE);
@@ -186,10 +192,13 @@ fn every_entry_point_replays_identically_at_all_thread_counts() {
         let s = draw_scenario(&mut rng, op);
         let want = walk(&s);
         let mut digests = Vec::new();
-        for threads in [1usize, 2, 4, 8] {
-            let (got, digest) = record_replay(&s, threads);
+        for (drain, threads) in DRAINS
+            .iter()
+            .flat_map(|&d| [1usize, 2, 4, 8].map(|t| (d, t)))
+        {
+            let (got, digest) = with_drain(drain, || record_replay(&s, threads));
             let tag = format!(
-                "op {} p {} root {} bytes {} hybrid {} threads {threads}",
+                "op {} p {} root {} bytes {} hybrid {} threads {threads} {drain:?}",
                 s.op, s.p, s.root, s.bytes, s.hybrid_aware
             );
             assert_eq!(got.clocks, want.clocks, "final clocks: {tag}");
@@ -200,7 +209,7 @@ fn every_entry_point_replays_identically_at_all_thread_counts() {
         }
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),
-            "trace digests differ across thread counts: op {} p {}",
+            "trace digests differ across thread counts or drain paths: op {} p {}",
             s.op,
             s.p
         );
@@ -270,7 +279,7 @@ fn chained_operations_carry_warm_state() {
     let walk_window = fabric.take_stats();
     let walk_rel_window = fabric.take_reliable_stats();
     assert_eq!(walk_window, cumulative, "first window covers everything");
-    for threads in [1usize, 4] {
+    for (drain, threads) in DRAINS.iter().flat_map(|&d| [1usize, 4].map(|t| (d, t))) {
         let mut fab2 = ReliableFabric::new(p, LinkParams::fdr_infiniband());
         let seats: Vec<NodeSeat<IdealHost>> = fab2
             .detach_ends()
@@ -278,7 +287,9 @@ fn chained_operations_carry_warm_state() {
             .zip(caches(p))
             .map(|(end, regcache)| NodeSeat { host: IdealHost::new(), regcache, end })
             .collect();
-        let (res, seats) = replay(sink.clone().into_ops(), seats, &cfg, threads);
+        let (res, seats) = with_drain(drain, || {
+            replay(sink.clone().into_ops(), seats, &cfg, threads)
+        });
         let logs = res.expect("fault-free replay");
         for (r, (&tok, &want)) in sym.iter().zip(&clocks).enumerate() {
             assert_eq!(resolve(decode(tok, r), &logs[r]), want, "rank {r} at {threads} threads");

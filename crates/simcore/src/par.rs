@@ -24,7 +24,20 @@
 //! randomness from the index via [`crate::rng::StreamRng`]); this is the
 //! same contract the repetition runner has always imposed.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// Set on the worker threads of a pool wider than one.
+    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a worker of a [`parallel_map`] pool
+/// wider than one — its siblings already occupy the other cores, so
+/// nested parallelism would only oversubscribe them.
+pub fn is_pool_worker() -> bool {
+    POOL_WORKER.with(Cell::get)
+}
 
 /// Number of worker threads the pool uses: the `HLWK_THREADS`
 /// environment variable if set to a positive integer, otherwise the
@@ -124,6 +137,7 @@ pub fn parallel_map_threads<T: Send, F: Fn(usize) -> T + Sync>(
                 let ranges = &ranges;
                 let f = &f;
                 s.spawn(move || {
+                    POOL_WORKER.with(|w| w.set(true));
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         // Drain our own range from the front.
@@ -224,6 +238,20 @@ mod tests {
             i
         });
         assert_eq!(out, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn only_wide_pool_workers_are_flagged() {
+        assert!(!is_pool_worker());
+        assert_eq!(
+            parallel_map_threads(1, 3, |_| is_pool_worker()),
+            vec![false; 3]
+        );
+        assert_eq!(
+            parallel_map_threads(2, 4, |_| is_pool_worker()),
+            vec![true; 4]
+        );
+        assert!(!is_pool_worker());
     }
 
     #[test]

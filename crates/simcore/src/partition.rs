@@ -10,8 +10,7 @@
 //!    all partitions — the global virtual time floor.
 //! 2. *Window*: every partition whose next event falls in
 //!    `[gvt, gvt + lookahead)` independently drains its wheel up to the
-//!    window end, on the [`crate::par`] claim/steal primitives across
-//!    worker threads. `lookahead` is the minimum cross-partition latency
+//!    window end. `lookahead` is the minimum cross-partition latency
 //!    (for a cluster: the LogGP wire latency floor — see
 //!    `netsim`'s lookahead extraction), so nothing a remote partition
 //!    does in this window can affect a local event inside it.
@@ -36,16 +35,20 @@
 //! the per-partition `(time, seq)` traces (what tests compare) are
 //! unaffected; `tests/proptest_partitioned.rs` proves the equivalence
 //! against a single global wheel across generated topologies.
+//!
+//! **Cost-gated drain** (`DESIGN.md` D12): the calling thread is worker 0
+//! of `w` and drains each window itself unless host time measured for
+//! that window size says handing it to the `w - 1` helpers is cheaper.
+//! Timing only picks the thread that drains a partition, never its output.
 
-use crate::engine::{Engine, RunOutcome};
-use crate::event::{EventKey, EventQueue};
-use crate::par;
-use crate::time::Cycles;
-use crate::World;
+use crate::{par, Cycles, EventKey, EventQueue, RunOutcome, World};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::hint::spin_loop;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::thread::ScopedJoinHandle;
+use std::time::Instant;
 
 /// A partition's simulation state machine.
 ///
@@ -69,7 +72,6 @@ pub struct PartIo<'a, E> {
     part: usize,
     nparts: usize,
     window_end: Cycles,
-    lookahead: Cycles,
 }
 
 impl<E> PartIo<'_, E> {
@@ -82,16 +84,6 @@ impl<E> PartIo<'_, E> {
     /// Schedule a local event `delay` after `now`.
     pub fn schedule_after(&mut self, now: Cycles, delay: Cycles, ev: E) -> EventKey {
         self.queue.schedule_after(now, delay, ev)
-    }
-
-    /// Cancel a locally scheduled event.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key)
-    }
-
-    /// Direct access to the local wheel (for [`World`] adapters).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<E> {
-        self.queue
     }
 
     /// Send `ev` to partition `dst`, arriving at absolute time `at`.
@@ -112,10 +104,9 @@ impl<E> PartIo<'_, E> {
         assert!(
             at >= self.window_end,
             "cross-partition send violates lookahead: arrival {at:?} before \
-             window end {:?} (partition {} -> {dst}, lookahead {:?})",
+             window end {:?} (partition {} -> {dst})",
             self.window_end,
-            self.part,
-            self.lookahead
+            self.part
         );
         self.outbox.push((dst, at, ev));
     }
@@ -129,17 +120,12 @@ impl<E> PartIo<'_, E> {
     pub fn num_partitions(&self) -> usize {
         self.nparts
     }
-
-    /// The engine's lookahead (minimum legal cross-partition delay).
-    pub fn lookahead(&self) -> Cycles {
-        self.lookahead
-    }
 }
 
 /// Adapter: run any share-nothing [`World`] as one partition. `handle`
 /// sees the local wheel exactly as under the global engine, so a
-/// single-partition [`PartitionedEngine`] reproduces [`Engine`]'s event
-/// order event-for-event (there are no cross-sends and one queue).
+/// single-partition [`PartitionedEngine`] reproduces [`crate::Engine`]'s
+/// event order event-for-event (there are no cross-sends and one queue).
 pub struct SoloWorld<W: World>(pub W);
 
 impl<W: World> PartWorld for SoloWorld<W>
@@ -149,58 +135,174 @@ where
     type Event = W::Event;
 
     fn handle(&mut self, now: Cycles, ev: Self::Event, io: &mut PartIo<'_, Self::Event>) {
-        self.0.handle(now, ev, io.queue_mut());
+        self.0.handle(now, ev, io.queue);
     }
 }
 
-/// Internal adapter: presents one partition to the inner [`Engine`] as a
-/// [`World`], capturing cross-partition sends in an outbox.
-struct Shim<W: PartWorld> {
+/// One partition: its world, private wheel and cross-partition outbox,
+/// plus the events handled in its last window, not yet credited.
+struct Part<W: PartWorld> {
     world: W,
+    queue: EventQueue<W::Event>,
     outbox: Vec<(usize, Cycles, W::Event)>,
-    part: usize,
-    nparts: usize,
-    window_end: Cycles,
-    lookahead: Cycles,
+    drained: u64,
 }
 
-impl<W: PartWorld> World for Shim<W> {
-    type Event = W::Event;
+type Slot<W> = Mutex<Part<W>>;
+type Heap = BinaryHeap<Reverse<(u64, usize)>>;
 
-    fn handle(&mut self, now: Cycles, ev: Self::Event, q: &mut EventQueue<Self::Event>) {
-        let mut io = PartIo {
-            queue: q,
-            outbox: &mut self.outbox,
-            part: self.part,
-            nparts: self.nparts,
-            window_end: self.window_end,
-            lookahead: self.lookahead,
-        };
-        self.world.handle(now, ev, &mut io);
+/// Which thread drains a window. The engine always uses [`Drain::Auto`];
+/// tests force the others to prove both paths give identical output.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Drain {
+    /// The cost gate decides.
+    Auto,
+    /// Every window on the coordinator.
+    Inline,
+    /// Every window handed to the helpers, however small.
+    FanOut,
+}
+
+static FORCED: Mutex<Drain> = Mutex::new(Drain::Auto);
+static FORCING: Mutex<()> = Mutex::new(());
+
+/// Test hook: run `f` with every engine in the process draining under
+/// `policy`, then return to [`Drain::Auto`]. Calls are serialized.
+#[doc(hidden)]
+pub fn with_drain<T>(policy: Drain, f: impl FnOnce() -> T) -> T {
+    let _serial = FORCING.lock().unwrap_or_else(PoisonError::into_inner);
+    *FORCED.lock().unwrap_or_else(PoisonError::into_inner) = policy;
+    let out = f();
+    *FORCED.lock().unwrap_or_else(PoisonError::into_inner) = Drain::Auto;
+    out
+}
+
+/// Spin once; false once a waiting thread should park or yield instead.
+fn spin(spins: &mut u32) -> bool {
+    *spins += 1;
+    spin_loop();
+    *spins <= 1 << 12
+}
+
+/// Window-size classes: class `c` holds `2^(c-1) + 1 ..= 2^c` partitions.
+const CLASSES: usize = 16;
+
+fn size_class(n: usize) -> usize {
+    ((usize::BITS - (n - 1).leading_zeros()) as usize).min(CLASSES - 1)
+}
+
+/// The cost gate: per window-size class, running host ns per active
+/// partition `[inline, fanned out]` (0 = unmeasured). One replay spans
+/// ~1 µs in two-partition windows to tens of µs in compute windows.
+#[derive(Default)]
+struct Gate([[f64; 2]; CLASSES]);
+
+impl Gate {
+    /// A class drains its first timed window inline and fans its next
+    /// one out; after that, the cheaper path wins.
+    fn fan_out(&self, class: usize) -> bool {
+        self.0[class][1] < self.0[class][0]
+    }
+
+    /// Fold in a window of `n` partitions that took `ns`. The path not
+    /// taken decays, so one slow sample cannot lock the gate onto a path.
+    fn record(&mut self, class: usize, n: usize, fanned: bool, ns: f64) {
+        let (sample, cost) = (ns / n as f64, &mut self.0[class]);
+        let taken = &mut cost[usize::from(fanned)];
+        let weight = if *taken == 0.0 { 1.0 } else { 1.0 / 32.0 };
+        *taken += (sample - *taken) * weight;
+        cost[usize::from(!fanned)] *= 1.0 - 1.0 / 1024.0;
     }
 }
 
-/// What one partition reports after draining a window.
-struct Report<E> {
-    part: usize,
-    delta: u64,
-    next: Option<u64>,
-    sends: Vec<(usize, Cycles, E)>,
+/// Hand-off to the helpers, built once per run. The window (active
+/// partitions, end, budget) reuses its buffer: publishing never allocates.
+#[derive(Default)]
+struct Crew {
+    window: Mutex<(Vec<usize>, Cycles, u64)>,
+    /// Unclaimed window indices `[lo, hi)`, stored with Release.
+    cursor: AtomicU64,
+    /// Undrained window partitions: Release decrements, Acquire waits.
+    pending: AtomicUsize,
+    /// Bumped per published window; idle helpers watch it.
+    epoch: AtomicU64,
+    done: AtomicBool,
 }
 
-/// Per-window control block shared with workers.
-struct Ctl {
-    active: Arc<Vec<usize>>,
-    end: Cycles,
-    budget: u64,
-    done: bool,
+impl Crew {
+    /// Claim and drain partitions until the window runs dry. The window is
+    /// written before the cursor's release store and rewritten only once
+    /// `pending` is zero, so even a late claim reads its own window.
+    fn drain_claimed<W: PartWorld>(&self, parts: &[Slot<W>]) {
+        while let Some(i) = par::claim_front(&self.cursor) {
+            let (part, end, budget) = {
+                let w = self.window.lock().expect("window lock poisoned");
+                (w.0[i], w.1, w.2)
+            };
+            drain(parts, part, end, budget);
+            self.pending.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// Helper thread body: wait for each new epoch (spin, then park).
+    fn serve<W: PartWorld>(&self, parts: &[Slot<W>]) {
+        let (mut seen, mut spins) = (0, 0);
+        while !self.done.load(Ordering::Acquire) {
+            let epoch = self.epoch.load(Ordering::Acquire);
+            if epoch != seen {
+                (seen, spins) = (epoch, 0);
+                self.drain_claimed(parts);
+            } else if !spin(&mut spins) {
+                std::thread::park();
+            }
+        }
+    }
+}
+
+/// The coordinator's side; dismisses the helpers however the loop ends.
+struct Lead<'a, 's>(&'a Crew, Vec<ScopedJoinHandle<'s, ()>>);
+
+impl Lead<'_, '_> {
+    /// Publish a window, drain a share of it, and wait for the rest.
+    fn fan_out<W: PartWorld>(&self, parts: &[Slot<W>], active: &[usize], end: Cycles, budget: u64) {
+        let (crew, n) = (self.0, active.len());
+        {
+            let mut w = crew.window.lock().expect("window lock poisoned");
+            w.0.clear();
+            w.0.extend_from_slice(active);
+            (w.1, w.2) = (end, budget);
+        }
+        crew.pending.store(n, Ordering::Relaxed);
+        crew.cursor.store(par::pack(0, n as u32), Ordering::Release);
+        crew.epoch.fetch_add(1, Ordering::Release);
+        self.1.iter().for_each(|h| h.thread().unpark());
+        crew.drain_claimed(parts);
+        let mut spins = 0;
+        while crew.pending.load(Ordering::Acquire) != 0 {
+            // A helper exits early only if a handler panicked on it.
+            assert!(
+                !self.1.iter().any(|h| h.is_finished()),
+                "partition helper panicked"
+            );
+            if !spin(&mut spins) {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+impl Drop for Lead<'_, '_> {
+    fn drop(&mut self) {
+        self.0.done.store(true, Ordering::Release);
+        self.1.iter().for_each(|h| h.thread().unpark());
+    }
 }
 
 /// The partitioned engine: per-partition wheels + windowed execution.
 pub struct PartitionedEngine<W: PartWorld> {
-    parts: Vec<Mutex<Engine<Shim<W>>>>,
+    parts: Vec<Slot<W>>,
     lookahead: Cycles,
-    now: Cycles,
     events_processed: u64,
 }
 
@@ -210,42 +312,21 @@ impl<W: PartWorld> PartitionedEngine<W> {
     /// event and the engine would spin.
     pub fn new(worlds: Vec<W>, lookahead: Cycles) -> Self {
         assert!(lookahead >= Cycles(1), "lookahead must be positive");
-        let nparts = worlds.len();
-        let parts = worlds
-            .into_iter()
-            .enumerate()
-            .map(|(part, world)| {
-                Mutex::new(Engine::new(Shim {
-                    world,
-                    outbox: Vec::new(),
-                    part,
-                    nparts,
-                    window_end: Cycles::ZERO,
-                    lookahead,
-                }))
+        let part = |world| {
+            let (queue, outbox) = (EventQueue::new(), Vec::new());
+            Mutex::new(Part {
+                world,
+                queue,
+                outbox,
+                drained: 0,
             })
-            .collect();
+        };
+        let parts = worlds.into_iter().map(part).collect();
         PartitionedEngine {
             parts,
             lookahead,
-            now: Cycles::ZERO,
             events_processed: 0,
         }
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The synchronization lookahead.
-    pub fn lookahead(&self) -> Cycles {
-        self.lookahead
-    }
-
-    /// Global virtual time (the floor of the last executed window).
-    pub fn now(&self) -> Cycles {
-        self.now
     }
 
     /// Total events handled across all partitions.
@@ -253,21 +334,18 @@ impl<W: PartWorld> PartitionedEngine<W> {
         self.events_processed
     }
 
+    fn part(&mut self, part: usize) -> &mut Part<W> {
+        self.parts[part].get_mut().expect("partition lock poisoned")
+    }
+
     /// Seed partition `part`'s wheel (setup, before `run`).
     pub fn queue_mut(&mut self, part: usize) -> &mut EventQueue<W::Event> {
-        self.parts[part]
-            .get_mut()
-            .expect("partition lock poisoned")
-            .queue_mut()
+        &mut self.part(part).queue
     }
 
     /// Mutable access to partition `part`'s world.
     pub fn world_mut(&mut self, part: usize) -> &mut W {
-        &mut self.parts[part]
-            .get_mut()
-            .expect("partition lock poisoned")
-            .world_mut()
-            .world
+        &mut self.part(part).world
     }
 
     /// Consume the engine, returning every partition's world in index
@@ -275,50 +353,36 @@ impl<W: PartWorld> PartitionedEngine<W> {
     pub fn into_worlds(self) -> Vec<W> {
         self.parts
             .into_iter()
-            .map(|m| m.into_inner().expect("partition lock poisoned").into_world().world)
+            .map(|m| m.into_inner().expect("partition lock poisoned").world)
             .collect()
     }
 
     /// Run windows until every wheel drains, `horizon` is passed, or the
-    /// event budget is exhausted. `threads` is the worker count for the
-    /// drain phase (1 = fully serial); results are identical for every
-    /// value — `tests/determinism.rs` and the figure smokes in
-    /// `scripts/ci.sh` hold the engine to that.
-    ///
-    /// The budget is enforced at window granularity (each window may
-    /// complete past the cap before the check), so the outcome is
-    /// thread-count independent.
+    /// event budget is exhausted. `threads` is the engine width (caller
+    /// plus `threads - 1` helpers); results are identical for every value.
+    /// The budget is enforced per window (a window may complete past the
+    /// cap before the check), so the outcome is width-independent too.
     pub fn run(&mut self, horizon: Cycles, max_events: u64, threads: usize) -> RunOutcome
     where
         W: Send,
     {
-        let nparts = self.parts.len();
-        if nparts == 0 {
-            return RunOutcome::Drained;
-        }
-        // (Re)build the next-event cache + heap. `next[p]` is authoritative;
-        // heap entries disagreeing with it are stale and skipped lazily.
-        let mut next: Vec<Option<u64>> = Vec::with_capacity(nparts);
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (p, m) in self.parts.iter_mut().enumerate() {
-            let t = m
-                .get_mut()
-                .expect("partition lock poisoned")
-                .next_event_time()
-                .map(Cycles::raw);
-            next.push(t);
-            if let Some(t) = t {
-                heap.push(Reverse((t, p)));
-            }
-        }
-        let la = self.lookahead.raw();
+        let (nparts, parts) = (self.parts.len(), &self.parts);
+        let (la, limit) = (self.lookahead.raw(), horizon.raw().saturating_add(1));
+        let workers = threads.clamp(1, nparts.max(1));
+        let policy = *FORCED.lock().unwrap_or_else(PoisonError::into_inner);
+        let (crew, mut gate) = (Crew::default(), Gate::default());
         let mut processed = self.events_processed;
-        let mut now = self.now;
-        let workers = threads.max(1).min(nparts);
-        let parts = &self.parts;
+        // Build the next-event cache + heap by merging every partition.
+        // `next[p]` is authoritative; stale heap entries are skipped lazily.
+        let (mut next, mut heap) = (vec![None; nparts], Heap::new());
+        let mut active: Vec<usize> = (0..nparts).collect();
+        merge(parts, &active, &mut next, &mut heap, &mut processed);
 
-        let outcome = if workers == 1 {
-            let mut reports: Vec<Report<W::Event>> = Vec::new();
+        let outcome = std::thread::scope(|s| {
+            let helpers = (1..workers)
+                .map(|_| s.spawn(|| crew.serve(parts)))
+                .collect();
+            let lead = Lead(&crew, helpers);
             loop {
                 let Some(gvt) = peek_gvt(&mut heap, &next) else {
                     break RunOutcome::Drained;
@@ -329,85 +393,32 @@ impl<W: PartWorld> PartitionedEngine<W> {
                 if processed >= max_events {
                     break RunOutcome::BudgetExhausted;
                 }
-                now = Cycles(gvt);
-                let end = Cycles(gvt.saturating_add(la).min(horizon.raw().saturating_add(1)));
-                let active = collect_active(&mut heap, &mut next, end.raw());
+                let end = Cycles(gvt.saturating_add(la).min(limit));
+                collect_active(&mut heap, &mut next, end.raw(), &mut active);
                 let budget = max_events - processed;
-                for &part in &active {
-                    reports.push(drain_one(&parts[part], part, end, budget));
-                }
-                merge_reports(parts, &mut next, &mut heap, &mut reports, &mut processed);
-            }
-        } else {
-            let ctl = Mutex::new(Ctl {
-                active: Arc::new(Vec::new()),
-                end: Cycles::ZERO,
-                budget: 0,
-                done: false,
-            });
-            let cursor = AtomicU64::new(0);
-            let staging: Vec<Mutex<Vec<Report<W::Event>>>> =
-                (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-            let barrier = Barrier::new(workers + 1);
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let (ctl, cursor, staging, barrier) = (&ctl, &cursor, &staging, &barrier);
-                    s.spawn(move || loop {
-                        barrier.wait();
-                        let (active, end, budget, done) = {
-                            let c = ctl.lock().expect("ctl lock");
-                            (Arc::clone(&c.active), c.end, c.budget, c.done)
-                        };
-                        if done {
-                            return;
-                        }
-                        let mut out: Vec<Report<W::Event>> = Vec::new();
-                        while let Some(i) = par::claim_front(cursor) {
-                            let part = active[i];
-                            out.push(drain_one(&parts[part], part, end, budget));
-                        }
-                        staging[w].lock().expect("staging lock").append(&mut out);
-                        barrier.wait();
-                    });
-                }
-                let outcome = loop {
-                    let Some(gvt) = peek_gvt(&mut heap, &next) else {
-                        break RunOutcome::Drained;
-                    };
-                    if gvt > horizon.raw() {
-                        break RunOutcome::HorizonReached;
-                    }
-                    if processed >= max_events {
-                        break RunOutcome::BudgetExhausted;
-                    }
-                    now = Cycles(gvt);
-                    let end =
-                        Cycles(gvt.saturating_add(la).min(horizon.raw().saturating_add(1)));
-                    let active = collect_active(&mut heap, &mut next, end.raw());
-                    let n_active = active.len() as u32;
-                    {
-                        let mut c = ctl.lock().expect("ctl lock");
-                        c.active = Arc::new(active);
-                        c.end = end;
-                        c.budget = max_events - processed;
-                    }
-                    cursor.store(par::pack(0, n_active), Ordering::Release);
-                    barrier.wait(); // open the window
-                    barrier.wait(); // drain complete
-                    let mut reports: Vec<Report<W::Event>> = Vec::new();
-                    for st in &staging {
-                        reports.append(&mut st.lock().expect("staging lock"));
-                    }
-                    merge_reports(parts, &mut next, &mut heap, &mut reports, &mut processed);
+                // Only a window that could fan out is timed.
+                let n = active.len();
+                let class = (workers > 1 && n > 1).then(|| size_class(n));
+                let fan_out = match policy {
+                    Drain::Auto => class.is_some_and(|c| gate.fan_out(c)),
+                    forced => forced == Drain::FanOut,
                 };
-                ctl.lock().expect("ctl lock").done = true;
-                barrier.wait(); // release workers into the `done` exit
-                outcome
-            })
-        };
-
+                let start = class.map(|_| Instant::now());
+                if fan_out {
+                    lead.fan_out(parts, &active, end, budget);
+                } else {
+                    for &part in &active {
+                        drain(parts, part, end, budget);
+                    }
+                }
+                if let (Some(c), Some(start)) = (class, start) {
+                    gate.record(c, n, fan_out, start.elapsed().as_nanos() as f64);
+                }
+                active.sort_unstable();
+                merge(parts, &active, &mut next, &mut heap, &mut processed);
+            }
+        });
         self.events_processed = processed;
-        self.now = now;
         outcome
     }
 
@@ -422,7 +433,7 @@ impl<W: PartWorld> PartitionedEngine<W> {
 
 /// Global virtual time: the minimum authoritative next-event time.
 /// Stale heap entries (disagreeing with `next`) are popped on the way.
-fn peek_gvt(heap: &mut BinaryHeap<Reverse<(u64, usize)>>, next: &[Option<u64>]) -> Option<u64> {
+fn peek_gvt(heap: &mut Heap, next: &[Option<u64>]) -> Option<u64> {
     loop {
         let &Reverse((t, p)) = heap.peek()?;
         if next[p] == Some(t) {
@@ -432,16 +443,12 @@ fn peek_gvt(heap: &mut BinaryHeap<Reverse<(u64, usize)>>, next: &[Option<u64>]) 
     }
 }
 
-/// Pop every partition with work strictly before `end` into the active
-/// list (deterministic `(time, partition)` pop order). Claimed partitions
-/// get `next = None` until their drain report restores it, which also
-/// dedupes multiple heap entries for one partition.
-fn collect_active(
-    heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
-    next: &mut [Option<u64>],
-    end: u64,
-) -> Vec<usize> {
-    let mut active = Vec::new();
+/// Pop every partition with work strictly before `end` into `active`
+/// (deterministic `(time, partition)` pop order). Claimed partitions
+/// get `next = None` until the merge restores it, which also dedupes
+/// multiple heap entries for one partition.
+fn collect_active(heap: &mut Heap, next: &mut [Option<u64>], end: u64, active: &mut Vec<usize>) {
+    active.clear();
     while let Some(&Reverse((t, p))) = heap.peek() {
         if t >= end {
             break;
@@ -452,56 +459,49 @@ fn collect_active(
             active.push(p);
         }
     }
-    active
 }
 
-/// Drain one partition's window `[.., end)` and report what happened.
-fn drain_one<W: PartWorld>(
-    slot: &Mutex<Engine<Shim<W>>>,
-    part: usize,
-    end: Cycles,
-    budget: u64,
-) -> Report<W::Event> {
-    let mut eng = slot.lock().expect("partition lock poisoned");
-    eng.world_mut().window_end = end;
-    let before = eng.events_processed();
-    eng.run_before(end, budget);
-    let delta = eng.events_processed() - before;
-    let next = eng.next_event_time().map(Cycles::raw);
-    let sends = std::mem::take(&mut eng.world_mut().outbox);
-    Report {
-        part,
-        delta,
-        next,
-        sends,
+/// Drain up to `budget` of `part`'s events before `end` (half-open: an
+/// arrival at the boundary runs next window); the merge takes the rest.
+fn drain<W: PartWorld>(parts: &[Slot<W>], part: usize, end: Cycles, budget: u64) {
+    let mut slot = parts[part].lock().expect("partition lock poisoned");
+    let p = &mut *slot;
+    while p.drained < budget && p.queue.peek_time().is_some_and(|t| t < end) {
+        let (now, ev) = p.queue.pop().expect("peeked event vanished");
+        let mut io = PartIo {
+            queue: &mut p.queue,
+            outbox: &mut p.outbox,
+            part,
+            nparts: parts.len(),
+            window_end: end,
+        };
+        p.world.handle(now, ev, &mut io);
+        p.drained += 1;
     }
 }
 
-/// The inbox merge: apply drain reports in source-partition index order.
-/// Destination queues assign sequence numbers during this serial pass, so
-/// the assignment is identical at any worker count.
-fn merge_reports<W: PartWorld>(
-    parts: &[Mutex<Engine<Shim<W>>>],
+/// The inbox merge: credit and deliver the window's partitions in index
+/// order (`active` is sorted). Destination queues assign sequence numbers
+/// during this serial pass, so the assignment is identical at any width.
+fn merge<W: PartWorld>(
+    parts: &[Slot<W>],
+    active: &[usize],
     next: &mut [Option<u64>],
-    heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
-    reports: &mut Vec<Report<W::Event>>,
+    heap: &mut Heap,
     processed: &mut u64,
 ) {
-    reports.sort_by_key(|r| r.part);
-    for r in reports.iter() {
-        *processed += r.delta;
-        next[r.part] = r.next;
-        if let Some(t) = r.next {
-            heap.push(Reverse((t, r.part)));
+    for &part in active {
+        let mut src = parts[part].lock().expect("partition lock poisoned");
+        *processed += std::mem::take(&mut src.drained);
+        // The wheel already holds what earlier sources sent it in this
+        // pass, so its next event time is authoritative.
+        next[part] = src.queue.peek_time().map(Cycles::raw);
+        if let Some(t) = next[part] {
+            heap.push(Reverse((t, part)));
         }
-    }
-    for r in reports.drain(..) {
-        for (dst, at, ev) in r.sends {
-            parts[dst]
-                .lock()
-                .expect("partition lock poisoned")
-                .queue_mut()
-                .schedule(at, ev);
+        for (dst, at, ev) in src.outbox.drain(..) {
+            let mut dst_part = parts[dst].lock().expect("partition lock poisoned");
+            dst_part.queue.schedule(at, ev);
             let t = at.raw();
             if next[dst].is_none_or(|cur| t < cur) {
                 next[dst] = Some(t);
@@ -514,6 +514,10 @@ fn merge_reports<W: PartWorld>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
+    use std::sync::{Arc, Condvar};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     /// Partitions pass a token around a ring, recording every arrival.
     struct RingNode {
@@ -548,13 +552,115 @@ mod tests {
         eng.into_worlds().into_iter().map(|w| w.trace).collect()
     }
 
+    const DRAINS: [Drain; 3] = [Drain::Auto, Drain::Inline, Drain::FanOut];
+
     #[test]
     fn ring_trace_identical_at_any_thread_count() {
         let serial = ring_traces(8, 1);
         assert!(serial.iter().any(|t| !t.is_empty()));
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(serial, ring_traces(8, threads), "{threads} threads");
+        for drain in DRAINS {
+            for threads in [1, 2, 3, 4, 8] {
+                let got = with_drain(drain, || ring_traces(8, threads));
+                assert_eq!(serial, got, "{threads} threads, {drain:?}");
+            }
         }
+    }
+
+    /// Partitions with one event each in the same window. A handler
+    /// counts itself in, then waits until `quorum` handlers are running
+    /// at once (or a generous timeout passes), and notes its thread and
+    /// whether the quorum met.
+    struct Rendezvous {
+        quorum: usize,
+        arrived: Arc<(Mutex<usize>, Condvar)>,
+        drained_on: Option<(ThreadId, bool)>,
+    }
+
+    impl PartWorld for Rendezvous {
+        type Event = ();
+        fn handle(&mut self, _now: Cycles, _ev: (), _io: &mut PartIo<'_, ()>) {
+            let (count, cv) = &*self.arrived;
+            let mut n = count.lock().expect("rendezvous lock");
+            *n += 1;
+            cv.notify_all();
+            let timeout = Duration::from_secs(30);
+            let (n, _) = cv
+                .wait_timeout_while(n, timeout, |n| *n < self.quorum)
+                .expect("rendezvous lock");
+            self.drained_on = Some((std::thread::current().id(), *n >= self.quorum));
+        }
+    }
+
+    fn drained_on(drain: Drain, threads: usize, quorum: usize) -> Vec<(ThreadId, bool)> {
+        let arrived = Arc::new((Mutex::new(0), Condvar::new()));
+        let worlds = (0..2)
+            .map(|_| Rendezvous {
+                quorum,
+                arrived: Arc::clone(&arrived),
+                drained_on: None,
+            })
+            .collect();
+        let mut eng = PartitionedEngine::new(worlds, Cycles(10));
+        for p in 0..2 {
+            eng.queue_mut(p).schedule(Cycles(0), ());
+        }
+        with_drain(drain, || eng.run_to_completion(threads));
+        eng.into_worlds()
+            .into_iter()
+            .map(|w| w.drained_on.expect("drained"))
+            .collect()
+    }
+
+    #[test]
+    fn forced_paths_pick_the_draining_threads() {
+        let me = std::thread::current().id();
+        for (drain, threads) in [(Drain::Inline, 4), (Drain::FanOut, 1)] {
+            let on = drained_on(drain, threads, 1);
+            assert!(on.iter().all(|&(t, _)| t == me), "{drain:?} at {threads}");
+        }
+        // Both handlers wait for each other, so a fanned-out window
+        // completes only with the coordinator draining one partition
+        // and a helper the other.
+        let on = drained_on(Drain::FanOut, 4, 2);
+        assert!(
+            on.iter().all(|&(_, met)| met),
+            "the two drains never overlapped"
+        );
+        assert!(
+            on.iter().any(|&(t, _)| t == me),
+            "the coordinator drained nothing"
+        );
+        assert!(
+            on.iter().any(|&(t, _)| t != me),
+            "no helper drained anything"
+        );
+    }
+
+    #[test]
+    fn gate_learns_each_size_class() {
+        let mut gate = Gate::default();
+        let (small, large) = (size_class(2), size_class(40));
+        assert_eq!((size_class(3), size_class(4), size_class(5)), (2, 2, 3));
+        assert_ne!(small, large);
+        assert!(!gate.fan_out(small), "first timed window drains inline");
+        gate.record(small, 2, false, 2_000.0);
+        assert!(gate.fan_out(small), "then the hand-off gets measured");
+        gate.record(small, 2, true, 20_000.0);
+        assert!(!gate.fan_out(small), "a costly hand-off closes the gate");
+        assert!(!gate.fan_out(large), "classes learn independently");
+        gate.record(large, 40, false, 2_000_000.0);
+        gate.record(large, 40, true, 1_200_000.0);
+        assert!(gate.fan_out(large), "a cheaper fan-out keeps the gate open");
+        // Inline windows decay the small class's fan-out cost until the
+        // gate re-tries it.
+        let retried = (0..10_000).position(|_| {
+            gate.record(small, 2, false, 2_000.0);
+            gate.fan_out(small)
+        });
+        assert!(
+            retried.is_some_and(|w| w > 100),
+            "re-try after {retried:?} windows"
+        );
     }
 
     #[test]
@@ -607,6 +713,12 @@ mod tests {
 
     #[test]
     fn horizon_and_budget_outcomes() {
+        for drain in DRAINS {
+            with_drain(drain, horizon_and_budget_case);
+        }
+    }
+
+    fn horizon_and_budget_case() {
         let worlds: Vec<RingNode> = (0..2)
             .map(|_| RingNode {
                 hops_left: 1000,

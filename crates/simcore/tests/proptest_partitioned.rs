@@ -28,6 +28,7 @@
 //! any divergence is an engine bug, not RNG drift.
 
 use proptest::prelude::*;
+use simcore::partition::{with_drain, Drain};
 use simcore::{Cycles, Engine, EventQueue, PartIo, PartWorld, PartitionedEngine, StreamRng, World};
 
 /// Stop spawning children once a payload's tree number passes this.
@@ -241,13 +242,18 @@ proptest! {
         prop_assert_eq!(&subject[0], &reference[0]);
     }
 
-    /// Worker count is a throughput knob, never a semantics knob: raw
-    /// traces (no canonicalization) identical at every thread count.
+    /// Worker count and drain path are throughput knobs, never semantics
+    /// knobs: raw traces (no canonicalization) identical at every thread
+    /// count with every window drained inline, and with every window
+    /// fanned out to helper threads.
     #[test]
     fn thread_count_never_changes_traces(p in programs()) {
         let serial = run_subject(&p, 1);
-        for threads in [2usize, 3, 8] {
-            prop_assert_eq!(&run_subject(&p, threads), &serial, "{} threads", threads);
+        for drain in [Drain::Inline, Drain::FanOut] {
+            for threads in [1usize, 2, 3, 4, 8] {
+                let got = with_drain(drain, || run_subject(&p, threads));
+                prop_assert_eq!(&got, &serial, "{} threads, {:?}", threads, drain);
+            }
         }
     }
 }
