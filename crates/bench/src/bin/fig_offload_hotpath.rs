@@ -5,7 +5,8 @@
 //! structures the offload path hammers: the end-to-end offload round
 //! trip (interleaved with the promoted in-LWK read it is compared
 //! against, so the bypass-floor ratio is ambient-burst-proof), address
-//! translation, and the IKC channel itself. The numbers land in
+//! translation, the IKC channel itself, and the Linux host model's cost
+//! per short application quantum on a Hadoop-loaded core. The numbers land in
 //! `BENCH_offload.json` so every future PR is held to a perf trajectory
 //! (CI compares against the committed baseline with a 2x tolerance —
 //! see `scripts/ci.sh --bench-smoke`); `fig_bypass` merges the rest of
@@ -228,6 +229,34 @@ fn bench_channel(n: u64) -> f64 {
     }) / 64.0
 }
 
+/// One short application quantum (10 µs of work) through
+/// `LinuxKernel::execute_on` on an app core of a single Linux node beside
+/// the co-located Hadoop job, at instants striding across the 120 s load
+/// horizon — the per-quantum host-model path of Fig. 7's Linux cells.
+/// Under `LinuxCgroup` Hadoop tasks share the core (occupancy lookup plus
+/// noise fold); under `LinuxCgroupIsolcpus` only kernel noise reaches it.
+fn bench_host_exec(os: OsVariant, n: u64) -> f64 {
+    let cfg = ClusterConfig::paper(os).with_nodes(1).with_insitu();
+    let node = NodeRuntime::build(&cfg, 0, &StreamRng::root(1));
+    let core = cfg.app_cores()[0];
+    // Honesty: the cgroup core really carries Hadoop load, the isolated
+    // one really does not.
+    assert_eq!(
+        node.linux.occupancy.has_load(core),
+        os == OsVariant::LinuxCgroup,
+        "{os:?} app core load"
+    );
+    let end = Cycles::from_secs(cfg.horizon_secs - 1);
+    let mut t = Cycles::from_ms(1);
+    measure(n, || {
+        black_box(node.linux.execute_on(core, t, Cycles::from_us(10)));
+        t += Cycles::from_us(997);
+        if t >= end {
+            t = Cycles::from_ms(1);
+        }
+    })
+}
+
 fn run_all() -> Vec<(&'static str, f64)> {
     let n = iters();
     let (roundtrip, bypass_read) = bench_offload_vs_bypass(n);
@@ -237,6 +266,14 @@ fn run_all() -> Vec<(&'static str, f64)> {
         ("translate_hit_ns", bench_translate_hit(n)),
         ("translate_miss_ns", bench_translate_miss(n)),
         ("channel_send_recv_ns", bench_channel(n / 32)),
+        (
+            "host_exec_short_cgroup_ns",
+            bench_host_exec(OsVariant::LinuxCgroup, n),
+        ),
+        (
+            "host_exec_short_isolcpus_ns",
+            bench_host_exec(OsVariant::LinuxCgroupIsolcpus, n),
+        ),
         // Environment honesty: how hard this baseline was driven. Not a
         // performance metric — `--check` exempts it from the gate.
         ("bench_iters", n as f64),

@@ -21,7 +21,7 @@ use hwmodel::addr::VirtAddr;
 use hwmodel::cpu::CoreId;
 use hwmodel::memory::PhysMemory;
 use hwmodel::pci::DeviceClass;
-use simcore::{Cycles, StreamRng, Trace};
+use simcore::{Cycles, StreamKey, StreamRng, Trace};
 use std::collections::{BTreeSet, HashMap};
 
 /// Noise configuration for a node's Linux instance.
@@ -64,7 +64,9 @@ pub struct ServiceResult {
 #[derive(Debug)]
 pub struct LinuxKernel {
     cores: Vec<CoreId>,
-    runtimes: HashMap<CoreId, LinuxCoreRuntime>,
+    /// Noise runtime per core, indexed by core number (`None` for cores
+    /// Linux does not own).
+    runtimes: Vec<Option<LinuxCoreRuntime>>,
     /// Competing-load timeline (Hadoop tasks register here).
     pub occupancy: CoreOccupancy,
     /// cgroup cpusets + isolcpus view.
@@ -80,6 +82,9 @@ pub struct LinuxKernel {
     params: CfsParams,
     next_pid: u32,
     rng: StreamRng,
+    /// `"wake"` pre-mixed into the kernel's stream: the proxy wake draw at
+    /// instant `t` is `stream(t)`.
+    wake_key: StreamKey,
     /// vDSO-style shared time page (nanoseconds). Published to both
     /// kernels at once, so the offloaded `clock_gettime` arm and the
     /// promoted in-LWK read are observationally identical.
@@ -98,7 +103,8 @@ impl LinuxKernel {
         rng: StreamRng,
     ) -> Self {
         assert!(!cores.is_empty(), "Linux needs at least one core");
-        let mut runtimes = HashMap::new();
+        let slots = cores.iter().map(|c| usize::from(c.0) + 1).max().unwrap_or(0);
+        let mut runtimes: Vec<Option<LinuxCoreRuntime>> = (0..slots).map(|_| None).collect();
         for &core in &cores {
             let core_rng = rng.stream("core", u64::from(core.0));
             let daemons: Vec<DaemonSource> = if noise.isolcpus.contains(&core) {
@@ -116,15 +122,12 @@ impl LinuxKernel {
             })
             .map(|d| d.with_activity(noise.daemon_activity))
             .collect();
-            runtimes.insert(
+            runtimes[usize::from(core.0)] = Some(LinuxCoreRuntime::with_rng(
                 core,
-                LinuxCoreRuntime::with_rng(
-                    core,
-                    Some(TickSource::hz1000(core_rng.stream("tick", 0))),
-                    daemons,
-                    core_rng.stream("exec", 0),
-                ),
-            );
+                Some(TickSource::hz1000(core_rng.stream("tick", 0))),
+                daemons,
+                core_rng.stream("exec", 0),
+            ));
         }
         LinuxKernel {
             cores,
@@ -138,6 +141,7 @@ impl LinuxKernel {
             proxy_cores: HashMap::new(),
             params: CfsParams::default(),
             next_pid: 300,
+            wake_key: rng.key("wake"),
             rng,
             vdso_ns: 0,
             trace: Trace::new(),
@@ -154,7 +158,8 @@ impl LinuxKernel {
     /// `isolcpus` cores).
     pub fn add_core_daemon(&mut self, core: CoreId, d: DaemonSource) {
         self.runtimes
-            .get_mut(&core)
+            .get_mut(usize::from(core.0))
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("{core} is not a Linux core"))
             .push_daemon(d);
     }
@@ -163,7 +168,8 @@ impl LinuxKernel {
     /// runs and FWQ probes go through this).
     pub fn execute_on(&self, core: CoreId, start: Cycles, work: Cycles) -> ExecOutcome {
         self.runtimes
-            .get(&core)
+            .get(usize::from(core.0))
+            .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("{core} is not a Linux core"))
             .execute(start, work, &self.occupancy)
     }
@@ -240,7 +246,7 @@ impl LinuxKernel {
             .params
             .timeslice(competitors + 1)
             .min(Cycles::from_us(100));
-        let mut r = self.rng.stream("wake", at.raw());
+        let mut r = self.wake_key.stream(at.raw());
         base + horizon.scale(r.uniform() * competitors.min(4) as f64 / 4.0)
     }
 

@@ -13,7 +13,7 @@ use crate::daemons::DaemonSource;
 use crate::occupancy::CoreOccupancy;
 use crate::tick::{Interruption, TickSource};
 use hwmodel::cpu::CoreId;
-use simcore::{Cycles, StreamRng};
+use simcore::{Cycles, StreamKey, StreamRng};
 
 /// Work shorter than this runs inside the task's own timeslice: a spinning
 /// MPI process or FWQ probe is not continuously descheduled — it only pays
@@ -45,7 +45,9 @@ pub struct LinuxCoreRuntime {
     tick: Option<TickSource>,
     daemons: Vec<DaemonSource>,
     params: CfsParams,
-    rng: StreamRng,
+    /// `"slice"` pre-mixed into the core's stream: the short-quantum
+    /// slice-expiry draw for a quantum starting at `t` is `stream(t)`.
+    slice_key: StreamKey,
 }
 
 impl LinuxCoreRuntime {
@@ -53,13 +55,8 @@ impl LinuxCoreRuntime {
     /// tick fully suppressed (used by the A4 scheduler ablation; real RHEL6
     /// cannot do this — that is McKernel's trick).
     pub fn new(core: CoreId, tick: Option<TickSource>, daemons: Vec<DaemonSource>) -> Self {
-        LinuxCoreRuntime {
-            core,
-            tick,
-            daemons,
-            params: CfsParams::default(),
-            rng: StreamRng::root(0x10e).stream("core", u64::from(core.0)),
-        }
+        let rng = StreamRng::root(0x10e).stream("core", u64::from(core.0));
+        LinuxCoreRuntime::with_rng(core, tick, daemons, rng)
     }
 
     /// Same, with an explicit randomness stream (decorrelates nodes).
@@ -74,7 +71,7 @@ impl LinuxCoreRuntime {
             tick,
             daemons,
             params: CfsParams::default(),
-            rng,
+            slice_key: rng.key("slice"),
         }
     }
 
@@ -89,15 +86,22 @@ impl LinuxCoreRuntime {
         self.daemons.push(d);
     }
 
-    fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
-        let mut all: Vec<Interruption> = Vec::new();
+    /// Fold every tick and daemon interruption in `[from, to)` into
+    /// `(stolen, count, max single)`.
+    fn fold_interruptions(&self, from: Cycles, to: Cycles) -> (Cycles, u32, Cycles) {
+        let mut acc = (Cycles::ZERO, 0u32, Cycles::ZERO);
+        let mut add = |i: Interruption| {
+            acc.0 += i.cost;
+            acc.1 += 1;
+            acc.2 = acc.2.max(i.cost);
+        };
         if let Some(t) = &self.tick {
-            all.extend(t.interruptions_in(from, to));
+            t.for_each_in(from, to, &mut add);
         }
         for d in &self.daemons {
-            all.extend(d.interruptions_in(from, to));
+            d.for_each_in(from, to, &mut add);
         }
-        all
+        acc
     }
 
     /// Run `work` cycles starting at `start`, against the competing load in
@@ -111,7 +115,7 @@ impl LinuxCoreRuntime {
             let mut contention = Cycles::ZERO;
             if n > 0 {
                 let slice = self.params.timeslice(n + 1);
-                let mut r = self.rng.stream("slice", start.raw());
+                let mut r = self.slice_key.stream(start.raw());
                 let p_hit = work.raw() as f64 / slice.raw() as f64;
                 if r.chance(p_hit.min(1.0)) {
                     let mean = Cycles::from_us(6).raw() as f64 * f64::from(n.min(4));
@@ -185,21 +189,16 @@ impl LinuxCoreRuntime {
     /// fixpoint (interruptions during makeup time can themselves be
     /// interrupted). Returns (stolen, count, max single).
     fn noise_over(&self, start: Cycles, busy_end: Cycles) -> (Cycles, u32, Cycles) {
-        let mut stolen = Cycles::ZERO;
-        let mut window_end = busy_end;
-        let (mut count, mut max_one) = (0u32, Cycles::ZERO);
+        let mut acc = (Cycles::ZERO, 0u32, Cycles::ZERO);
         for _ in 0..8 {
-            let ints = self.interruptions_in(start, window_end);
-            let new_stolen: Cycles = ints.iter().map(|i| i.cost).sum();
-            count = ints.len() as u32;
-            max_one = ints.iter().map(|i| i.cost).max().unwrap_or(Cycles::ZERO);
-            if new_stolen == stolen {
+            let pass = self.fold_interruptions(start, busy_end + acc.0);
+            let converged = pass.0 == acc.0;
+            acc = pass;
+            if converged {
                 break;
             }
-            stolen = new_stolen;
-            window_end = busy_end + stolen;
         }
-        (stolen, count, max_one)
+        acc
     }
 }
 
@@ -318,6 +317,43 @@ mod tests {
         // Watchdog only: ~2 events in 2 seconds.
         assert!(out.interruptions <= 5, "{}", out.interruptions);
         assert!(out.stolen < Cycles::from_us(100));
+    }
+
+    #[test]
+    fn fold_matches_collected_interruptions() {
+        let rng = StreamRng::root(11).stream("core", 0);
+        let mut rt = busy_runtime();
+        // A phase-gated source, as the co-located job attaches.
+        rt.push_daemon(
+            DaemonSource::eth_irq(rng.stream("eth", 0))
+                .with_activity(20.0)
+                .with_windows(vec![(Cycles::from_ms(5), Cycles::from_ms(33))]),
+        );
+        let tick = TickSource::hz1000(rng.stream("tick", 0));
+        let mut daemons = DaemonSource::standard_set(&rng);
+        daemons.push(
+            DaemonSource::eth_irq(rng.stream("eth", 0))
+                .with_activity(20.0)
+                .with_windows(vec![(Cycles::from_ms(5), Cycles::from_ms(33))]),
+        );
+        for (from, to) in [
+            (Cycles::ZERO, Cycles::from_ms(1)),
+            (Cycles(1), Cycles::from_ms(9)),
+            (Cycles::from_ms(4), Cycles::from_ms(47)),
+            (Cycles::from_us(9_999), Cycles::from_ms(250)),
+            (Cycles::from_ms(3), Cycles::from_ms(3)),
+        ] {
+            let mut all = tick.interruptions_in(from, to);
+            for d in &daemons {
+                all.extend(d.interruptions_in(from, to));
+            }
+            let want = (
+                all.iter().map(|i| i.cost).sum::<Cycles>(),
+                all.len() as u32,
+                all.iter().map(|i| i.cost).max().unwrap_or(Cycles::ZERO),
+            );
+            assert_eq!(rt.fold_interruptions(from, to), want, "[{from:?}, {to:?})");
+        }
     }
 
     #[test]

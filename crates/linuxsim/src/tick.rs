@@ -7,7 +7,7 @@
 //! are skipped (NO_HZ), and McKernel cores never tick at all — McKernel is
 //! tick-less by construction, so it simply has no [`TickSource`].
 
-use simcore::{Cycles, StreamRng};
+use simcore::{Cycles, StreamKey, StreamRng};
 
 /// Deterministic per-core tick event source.
 ///
@@ -22,7 +22,8 @@ pub struct TickSource {
     /// 1-in-N ticks run extended work (RCU callbacks, timer cascades).
     heavy_one_in: u64,
     heavy_extra: Cycles,
-    rng: StreamRng,
+    /// `"tick-cost"` pre-mixed into the per-core stream.
+    cost_key: StreamKey,
 }
 
 /// One interruption: starts at `at`, steals `cost` from the running task.
@@ -44,7 +45,7 @@ impl TickSource {
             jitter_cost: Cycles::from_us(3),
             heavy_one_in: 64,
             heavy_extra: Cycles::from_us(14),
-            rng,
+            cost_key: rng.key("tick-cost"),
         }
     }
 
@@ -55,7 +56,7 @@ impl TickSource {
 
     /// Cost of tick number `k` (deterministic in `k`).
     fn cost_of(&self, k: u64) -> Cycles {
-        let mut r = self.rng.stream("tick-cost", k);
+        let mut r = self.cost_key.stream(k);
         let mut cost = self.base_cost + self.jitter_cost.scale(r.uniform());
         if self.heavy_one_in > 0 && r.range_u64(0, self.heavy_one_in) == 0 {
             cost += self.heavy_extra.scale(0.3 + 0.7 * r.uniform());
@@ -63,23 +64,32 @@ impl TickSource {
         cost
     }
 
-    /// All tick interruptions in `[from, to)`. The core is busy throughout
-    /// (the caller only asks about windows where the app occupies the core;
-    /// NO_HZ means idle windows generate nothing).
-    pub fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
+    /// Visit every tick interruption in `[from, to)`, in time order. The
+    /// core is busy throughout (the caller only asks about windows where
+    /// the app occupies the core; NO_HZ means idle windows generate
+    /// nothing).
+    pub fn for_each_in(&self, from: Cycles, to: Cycles, mut f: impl FnMut(Interruption)) {
         if to <= from {
-            return Vec::new();
+            return;
         }
         let p = self.period.raw();
         let first = from.raw().div_ceil(p);
         let last = (to.raw() - 1) / p;
-        (first..=last)
-            .filter(|&k| k > 0 || from == Cycles::ZERO)
-            .map(|k| Interruption {
-                at: Cycles(k * p),
-                cost: self.cost_of(k),
-            })
-            .collect()
+        for k in first..=last {
+            if k > 0 || from == Cycles::ZERO {
+                f(Interruption {
+                    at: Cycles(k * p),
+                    cost: self.cost_of(k),
+                });
+            }
+        }
+    }
+
+    /// All tick interruptions in `[from, to)`, collected.
+    pub fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
+        let mut out = Vec::new();
+        self.for_each_in(from, to, |i| out.push(i));
+        out
     }
 }
 
@@ -150,6 +160,54 @@ mod tests {
             ia.iter().map(|i| i.cost).collect::<Vec<_>>(),
             ib.iter().map(|i| i.cost).collect::<Vec<_>>()
         );
+    }
+
+    /// The tick grid as it was first written: a `Vec` of interruptions
+    /// whose costs come from `stream("tick-cost", k)` of the core stream.
+    fn reference(rng: &StreamRng, s: &TickSource, from: Cycles, to: Cycles) -> Vec<Interruption> {
+        if to <= from {
+            return Vec::new();
+        }
+        let p = s.period.raw();
+        let first = from.raw().div_ceil(p);
+        let last = (to.raw() - 1) / p;
+        (first..=last)
+            .filter(|&k| k > 0 || from == Cycles::ZERO)
+            .map(|k| {
+                let mut r = rng.stream("tick-cost", k);
+                let mut cost = s.base_cost + s.jitter_cost.scale(r.uniform());
+                if s.heavy_one_in > 0 && r.range_u64(0, s.heavy_one_in) == 0 {
+                    cost += s.heavy_extra.scale(0.3 + 0.7 * r.uniform());
+                }
+                Interruption { at: Cycles(k * p), cost }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn visitor_matches_reference_and_its_fold() {
+        let rng = StreamRng::root(7).stream("core", 3);
+        let s = TickSource::hz1000(rng.clone());
+        let windows = [
+            (Cycles::ZERO, Cycles::from_ms(40)),
+            (Cycles(1), Cycles::from_ms(1)),
+            (Cycles::from_us(999), Cycles::from_us(1_001)),
+            (Cycles::from_ms(5), Cycles::from_ms(5)),
+            (Cycles::from_ms(123) + Cycles(7), Cycles::from_secs(1)),
+        ];
+        for (from, to) in windows {
+            let want = reference(&rng, &s, from, to);
+            assert_eq!(s.interruptions_in(from, to), want, "[{from:?}, {to:?})");
+            let (mut stolen, mut count, mut max) = (Cycles::ZERO, 0usize, Cycles::ZERO);
+            s.for_each_in(from, to, |i| {
+                stolen += i.cost;
+                count += 1;
+                max = max.max(i.cost);
+            });
+            assert_eq!(stolen, want.iter().map(|i| i.cost).sum());
+            assert_eq!(count, want.len());
+            assert_eq!(max, want.iter().map(|i| i.cost).max().unwrap_or(Cycles::ZERO));
+        }
     }
 
     #[test]

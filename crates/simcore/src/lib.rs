@@ -49,7 +49,7 @@ pub use fault::{
 };
 pub use hist::LogHistogram;
 pub use partition::{PartIo, PartWorld, PartitionedEngine, SoloWorld};
-pub use rng::StreamRng;
+pub use rng::{StreamKey, StreamRng};
 pub use stats::{RunningStats, Summary};
 pub use time::Cycles;
 pub use trace::Trace;

@@ -66,6 +66,19 @@ fn mix_label(seed: u64, label: &str) -> u64 {
     splitmix64(&mut state)
 }
 
+/// A parent seed with one label already mixed in; see [`StreamRng::key`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StreamKey(u64);
+
+impl StreamKey {
+    /// The child stream `index` under this key.
+    #[inline]
+    pub fn stream(self, index: u64) -> StreamRng {
+        let mut s = self.0 ^ index.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        StreamRng::root(splitmix64(&mut s))
+    }
+}
+
 /// A deterministic random stream.
 #[derive(Clone, Debug)]
 pub struct StreamRng {
@@ -87,9 +100,15 @@ impl StreamRng {
     /// Derivation uses only the parent's *seed* (not its draw position), so
     /// child streams are stable no matter how much the parent has been used.
     pub fn stream(&self, label: &str, index: u64) -> StreamRng {
-        let mut s = mix_label(self.seed, label) ^ index.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        let child_seed = splitmix64(&mut s);
-        StreamRng::root(child_seed)
+        self.key(label).stream(index)
+    }
+
+    /// Pre-mix `label` into this stream's seed, for a component that
+    /// derives many children under one label (one per tick, per epoch,
+    /// per wake instant): `self.key(label).stream(i)` equals
+    /// `self.stream(label, i)` without re-hashing the label bytes.
+    pub fn key(&self, label: &str) -> StreamKey {
+        StreamKey(mix_label(self.seed, label))
     }
 
     /// Derive the canonical per-partition child stream used by the
@@ -227,6 +246,32 @@ mod tests {
             for idx in 0..16 {
                 let mut s = root.stream(label, idx);
                 assert!(seen.insert(s.next_u64()), "stream collision {label}/{idx}");
+            }
+        }
+    }
+
+    #[test]
+    fn stream_key_matches_labelled_stream() {
+        // The labelled derivation written out in full, independent of
+        // `StreamKey`: mix the label, fold in the index, one SplitMix step.
+        let reference = |seed: u64, label: &str, index: u64| {
+            let mut s = mix_label(seed, label) ^ index.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+            StreamRng::root(splitmix64(&mut s))
+        };
+        for seed in [0u64, 7, 0x10e, u64::MAX] {
+            let root = StreamRng::root(seed);
+            for label in ["", "tick-cost", "slice", "wake", "kworker", "eth-irq"] {
+                let key = root.key(label);
+                for idx in [0u64, 1, 2, 63, 1 << 40, u64::MAX] {
+                    let mut want = reference(seed, label, idx);
+                    let mut by_key = key.stream(idx);
+                    let mut by_label = root.stream(label, idx);
+                    for _ in 0..4 {
+                        let w = want.next_u64();
+                        assert_eq!(by_key.next_u64(), w, "{seed}/{label}/{idx}");
+                        assert_eq!(by_label.next_u64(), w, "{seed}/{label}/{idx}");
+                    }
+                }
             }
         }
     }
